@@ -13,12 +13,12 @@ import (
 // aggressive scale so a full -bench=. pass stays in minutes. Experiment
 // cells are cached in one suite across all figure/table benchmarks, exactly
 // as `iochar -all` shares them, so each cell executes once per `go test`.
-var benchOpts = core.Options{
+var benchOpts = core.Options{Testbed: core.Testbed{
 	Scale:         16384,
 	Slaves:        10,
 	MapTaskTarget: 64,
 	Seed:          1,
-}
+}}
 
 var (
 	benchSuiteOnce sync.Once

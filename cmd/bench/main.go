@@ -28,17 +28,13 @@ import (
 	"syscall"
 
 	"iochar/internal/bench"
+	"iochar/internal/cliutil"
 	"iochar/internal/core"
-	"iochar/internal/disk"
 )
 
 func main() {
 	var (
-		quick      = flag.Bool("quick", false, "smoke-test configuration (small inputs, one iteration)")
-		scale      = flag.Int64("scale", 0, "override capacity divisor")
-		slaves     = flag.Int("slaves", 0, "override slave-node count")
-		racks      = flag.Int("racks", 0, "override rack count (slave i lands in rack i%racks; 0 = flat single-rack network)")
-		uplink     = flag.Int64("uplink", 0, "per-rack ToR uplink bandwidth in MB/s (0 = NIC rate; only meaningful with -racks > 1)")
+		quick      = flag.Bool("quick", false, "smoke-test configuration (small inputs, one iteration); testbed flags left unset take its values")
 		seed       = flag.Int64("seed", 0, "override simulation seed")
 		iters      = flag.Int("iterations", 0, "override timed iterations per workload")
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default TS,AGG,KM,PR,JOIN)")
@@ -48,22 +44,18 @@ func main() {
 		profileDir = flag.String("profile-dir", "", "capture cpu.pprof and heap.pprof under this directory")
 		check      = flag.String("check", "", "validate an existing result JSON against the schema and exit")
 		rev        = flag.String("rev", "", "revision label for the output name (default: git short rev)")
-		tier       = flag.String("tier", "hdd", "device class for intermediate-data volumes in the workload measurements: hdd | ssd (the suite measurement always runs untiered)")
 	)
+	// The tier applies to the workload measurements only: the suite
+	// measurement always runs untiered, so its output hash stays comparable.
+	def := bench.Default()
+	testbed := cliutil.BindTestbed(flag.CommandLine, core.Testbed{Scale: def.Scale, Slaves: def.Slaves, Racks: 1})
 	flag.Parse()
 
-	// Overrides use 0 as "keep the config default", so only a negative value
-	// can be nonsense — reject it instead of silently ignoring it.
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{{"-scale", *scale}, {"-slaves", int64(*slaves)}, {"-racks", int64(*racks)}, {"-uplink", *uplink}, {"-iterations", int64(*iters)}} {
-		if f.v < 0 {
-			fmt.Fprintf(os.Stderr, "bench: %s must be positive (0 = config default), got %d\n", f.name, f.v)
-			os.Exit(2)
-		}
+	tb, err := testbed()
+	if err == nil && *iters < 0 {
+		// 0 keeps the config default, so only a negative value is nonsense.
+		err = fmt.Errorf("-iterations must be positive (0 = config default), got %d", *iters)
 	}
-	tierClass, err := disk.ParseClass(*tier)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(2)
@@ -81,22 +73,26 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := bench.Default()
+	cfg := def
 	if *quick {
 		cfg = bench.Quick()
 	}
-	if *scale > 0 {
-		cfg.Scale = *scale
-	}
-	if *slaves > 0 {
-		cfg.Slaves = *slaves
-	}
-	if *racks > 0 {
-		cfg.Racks = *racks
-	}
-	if *uplink > 0 {
-		cfg.UplinkBPS = *uplink << 20
-	}
+	// Testbed flags the user set override the configuration; the rest keep
+	// its values, so -quick still takes Quick()'s scale and slave count.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			cfg.Scale = tb.Scale
+		case "slaves":
+			cfg.Slaves = tb.Slaves
+		case "racks":
+			cfg.Racks = tb.Racks
+		case "uplink":
+			cfg.UplinkBPS = tb.UplinkBPS
+		case "tier":
+			cfg.Tier = tb.IntermediateTier
+		}
+	})
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
@@ -106,7 +102,6 @@ func main() {
 	if *noSuite {
 		cfg.Suite = false
 	}
-	cfg.Tier = tierClass
 	cfg.ProfileDir = *profileDir
 	if *workloads != "" {
 		cfg.Workloads = nil

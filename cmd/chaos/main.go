@@ -31,7 +31,6 @@ import (
 	"iochar/internal/chaos"
 	"iochar/internal/cliutil"
 	"iochar/internal/core"
-	"iochar/internal/disk"
 )
 
 func main() {
@@ -41,18 +40,15 @@ func main() {
 		workload  = flag.String("workload", "", "TS | AGG | KM | PR (empty = all four)")
 		maxFaults = flag.Int("max-faults", 3, "max fault events per generated schedule")
 		outDir    = flag.String("out", "", "directory to write failing (shrunk) schedules as JSON")
-		scale     = flag.Int64("scale", 262144, "capacity divisor vs the paper's testbed")
-		slaves    = flag.Int("slaves", 5, "number of slave nodes")
-		racks     = flag.Int("racks", 1, "rack count: slave i lands in rack i%racks behind a ToR switch (1 = flat network; recorded in generated schedules)")
-		uplink    = flag.Int64("uplink", 0, "per-rack ToR uplink bandwidth in MB/s (0 = NIC rate; only meaningful with -racks > 1)")
 		mapTasks  = flag.Int64("map-tasks", 8, "map-task target for the largest workload")
-		tier      = flag.String("tier", "hdd", "device class for intermediate-data volumes: hdd | ssd (generated schedules record it; note ssd constrains -scale)")
 		masters   = flag.Bool("master-recovery", false, "force the journaled NameNode/JobTracker layers on for every run, so slave-fault schedules also exercise them (master-fault schedules imply this; recorded in generated schedules)")
 		parallel  = flag.Int("parallel", 1, "concurrent chaos runs (verdicts are identical at any value)")
 		soak      = flag.Duration("soak", 0, "loop seeds until this much wall-clock time has passed (overrides -runs)")
 		replay    = flag.String("replay", "", "replay a schedule JSON file instead of generating schedules")
 		verbose   = flag.Bool("v", false, "print every verdict, not just failures")
 	)
+	// Generated schedules record the testbed shape, so a replay rebuilds it.
+	testbed := cliutil.BindTestbed(flag.CommandLine, core.Testbed{Scale: 262144, Slaves: 5, Racks: 1})
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -80,29 +76,18 @@ func main() {
 		workloads = []core.Workload{w}
 	}
 
-	tierClass, err := disk.ParseClass(*tier)
+	tb, err := testbed()
+	if err == nil && *mapTasks <= 0 {
+		err = fmt.Errorf("-map-tasks must be positive, got %d", *mapTasks)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(2)
 	}
-	if err := cliutil.ValidateTopologyFlags(*racks, *uplink); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(2)
-	}
+	tb.MapTaskTarget = *mapTasks
 
-	coreOpts := []core.Option{
-		core.WithScale(*scale),
-		core.WithSlaves(*slaves),
-		core.WithRacks(*racks),
-		core.WithUplink(*uplink << 20),
-		core.WithMapTaskTarget(*mapTasks),
-		core.WithIntermediateTier(tierClass),
-	}
-	if *masters {
-		coreOpts = append(coreOpts, core.WithMasterRecovery())
-	}
 	h := chaos.New(chaos.Options{
-		Core:        core.NewOptions(coreOpts...),
+		Core:        core.Options{Testbed: tb, MasterRecovery: core.MasterRecovery{Enabled: *masters}},
 		MaxFaults:   *maxFaults,
 		Parallelism: *parallel,
 	})

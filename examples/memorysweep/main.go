@@ -25,7 +25,7 @@ func main() {
 			Slots:    iochar.Slots1x8,
 			MemoryGB: gb,
 			Compress: false,
-		}, iochar.Options{Scale: 8192})
+		}, iochar.NewOptions(iochar.WithScale(8192)))
 		if err != nil {
 			log.Fatal(err)
 		}

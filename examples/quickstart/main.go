@@ -21,7 +21,7 @@ func main() {
 		Slots:    iochar.Slots1x8,
 		MemoryGB: 16,
 		Compress: true,
-	}, iochar.Options{Scale: 8192})
+	}, iochar.NewOptions(iochar.WithScale(8192)))
 	if err != nil {
 		log.Fatal(err)
 	}

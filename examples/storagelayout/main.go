@@ -35,7 +35,7 @@ func main() {
 		for _, shared := range []bool{false, true} {
 			rep, err := iochar.Run(wk, iochar.Factors{
 				Slots: iochar.Slots1x8, MemoryGB: 16, Compress: false,
-			}, iochar.Options{Scale: 8192, SharedDataDisks: shared})
+			}, iochar.Options{Testbed: iochar.Testbed{Scale: 8192}, SharedDataDisks: shared})
 			if err != nil {
 				log.Fatal(err)
 			}

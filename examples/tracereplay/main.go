@@ -22,10 +22,10 @@ import (
 
 func main() {
 	collector := trace.NewCollector()
-	opts := iochar.Options{
-		Scale:       16384,
-		TraceAttach: func(dev string, d *disk.Disk) { collector.Attach(d, dev) },
-	}
+	opts := iochar.NewOptions(
+		iochar.WithScale(16384),
+		iochar.WithTraceAttach(func(dev string, d *disk.Disk) { collector.Attach(d, dev) }),
+	)
 	fmt.Println("running TeraSort (1_8, 16G, compression off) with block tracing...")
 	rep, err := iochar.Run(iochar.TS, iochar.Factors{
 		Slots: iochar.Slots1x8, MemoryGB: 16, Compress: false,

@@ -11,7 +11,7 @@ import (
 // goldenOpts is deliberately tiny: the golden test runs the full 20-cell
 // matrix three times (sequential, parallel, warm cache), so each cell must
 // be cheap. Byte-identity does not depend on scale.
-var goldenOpts = Options{Scale: 262144, Slaves: 3, MapTaskTarget: 8}
+var goldenOpts = Options{Testbed: Testbed{Scale: 262144, Slaves: 3, MapTaskTarget: 8}}
 
 // renderAll regenerates every figure and table into one buffer — the exact
 // byte stream `iochar -all` writes to stdout.

@@ -49,11 +49,7 @@ func TestGoldenAllOutput(t *testing.T) {
 func TestGoldenBenchFingerprints(t *testing.T) {
 	var buf bytes.Buffer
 	for _, w := range append(core.PaperWorkloads(), core.Join) {
-		rep, err := core.RunOne(w, core.SlotsRuns[0], core.Options{
-			Scale:         goldenOpts.Scale,
-			Slaves:        goldenOpts.Slaves,
-			MapTaskTarget: goldenOpts.MapTaskTarget,
-		})
+		rep, err := core.RunOne(w, core.SlotsRuns[0], core.Options{Testbed: goldenOpts.Testbed})
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,7 +20,7 @@ import (
 // schedules (node kills need survivors above the replication factor).
 func testOpts() Options {
 	return Options{
-		Core:      core.Options{Scale: 262144, Slaves: 5, MapTaskTarget: 8, Seed: 1},
+		Core:      core.Options{Testbed: core.Testbed{Scale: 262144, Slaves: 5, MapTaskTarget: 8, Seed: 1}},
 		MaxFaults: 3,
 	}
 }
@@ -231,8 +232,8 @@ func TestScheduleTierRoundTrip(t *testing.T) {
 	s := Schedule{
 		Workload: "TS",
 		Plan:     "slow-disk@50ms:node=slave-01,disk=mr0,factor=8",
-		PlanSeed: 17, Scale: 16384, Slaves: 3, Seed: 1, MapTaskTarget: 8,
-		Tier: disk.ClassSSD,
+		PlanSeed: 17,
+		Testbed:  core.Testbed{Scale: 16384, Slaves: 3, Seed: 1, MapTaskTarget: 8, IntermediateTier: disk.ClassSSD},
 	}
 	b, err := s.Marshal()
 	if err != nil {
@@ -254,8 +255,8 @@ func TestScheduleTierRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Tier != disk.ClassSSD {
-		t.Errorf("TS-ssd-failslow.json parsed with tier %v, want ssd", cs.Tier)
+	if cs.IntermediateTier != disk.ClassSSD {
+		t.Errorf("TS-ssd-failslow.json parsed with tier %v, want ssd", cs.IntermediateTier)
 	}
 }
 
@@ -288,8 +289,8 @@ func TestGeneratePlanDeterministic(t *testing.T) {
 
 func TestScheduleRoundTrip(t *testing.T) {
 	s := Schedule{
-		Workload: "TS", ChaosSeed: 7, Plan: "kill-node@300ms:node=slave-02",
-		PlanSeed: 7, Scale: 262144, Slaves: 5, Seed: 1, MapTaskTarget: 8,
+		Workload: "TS", ChaosSeed: 7, Plan: "kill-node@300ms:node=slave-02", PlanSeed: 7,
+		Testbed: core.Testbed{Scale: 262144, Slaves: 5, Seed: 1, MapTaskTarget: 8},
 	}
 	b, err := s.Marshal()
 	if err != nil {
@@ -301,6 +302,25 @@ func TestScheduleRoundTrip(t *testing.T) {
 	}
 	if got != s {
 		t.Errorf("round trip changed the schedule:\n %+v\n %+v", got, s)
+	}
+	// Every checked-in schedule re-marshals byte for byte: the on-disk field
+	// names and order are a format, not an implementation detail.
+	paths, err := filepath.Glob(filepath.Join("testdata", "chaos", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ParseSchedule(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if b, err := s.Marshal(); err != nil || !bytes.Equal(b, data) {
+			t.Errorf("%s does not re-marshal byte-identically (err %v):\n%s", path, err, b)
+		}
 	}
 	if _, err := ParseSchedule([]byte(`{"workload":"TS","plan":"explode@1s"}`)); err == nil {
 		t.Error("bad plan syntax accepted")

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"iochar/internal/core"
-	"iochar/internal/disk"
 	"iochar/internal/faults"
 )
 
@@ -27,20 +26,11 @@ type Schedule struct {
 	Plan string `json:"plan"`
 	// PlanSeed drives the drop-shuffle coin flips during injection.
 	PlanSeed int64 `json:"plan_seed"`
-	// Testbed shape: the run is only reproducible on the same cluster.
-	Scale         int64 `json:"scale"`
-	Slaves        int   `json:"slaves"`
-	Seed          int64 `json:"seed"` // testbed seed (workload data, placement)
-	MapTaskTarget int64 `json:"map_task_target,omitempty"`
-	// Racks/UplinkBPS rebuild the network topology: rack-targeted faults
-	// (partition rack=, slow-link rack=) only arm on a multi-rack fabric,
-	// and placement differs across topologies (omitted = flat).
-	Racks     int   `json:"racks,omitempty"`
-	UplinkBPS int64 `json:"uplink_bps,omitempty"`
-	// Tier is the device class backing the intermediate-data volumes
-	// (omitted = hdd). Schedules that target flash devices — e.g. a
-	// fail-slow on an mr volume — need it to rebuild the same fleet.
-	Tier disk.Class `json:"tier,omitempty"`
+	// Testbed is the cluster shape the run is only reproducible on. Racks
+	// and UplinkBPS matter because rack-targeted faults (partition rack=,
+	// slow-link rack=) only arm on a multi-rack fabric; the tier because
+	// schedules that target flash devices need the same fleet.
+	core.Testbed
 	// MasterRecovery forces the journaled NameNode/JobTracker layers on for
 	// the replayed run even when the plan carries no master fault (a plan
 	// with restart-namenode/restart-jobtracker events implies them anyway).
@@ -81,13 +71,7 @@ func (h *Harness) schedule(w core.Workload, seed int64, plan faults.Plan) Schedu
 		ChaosSeed:      seed,
 		Plan:           plan.String(),
 		PlanSeed:       plan.Seed,
-		Scale:          h.opts.Core.Scale,
-		Slaves:         h.opts.Core.Slaves,
-		Seed:           h.opts.Core.Seed,
-		MapTaskTarget:  h.opts.Core.MapTaskTarget,
-		Racks:          h.opts.Core.Racks,
-		UplinkBPS:      h.opts.Core.UplinkBPS,
-		Tier:           h.opts.Core.IntermediateTier,
+		Testbed:        h.opts.Core.Testbed,
 		MasterRecovery: h.opts.Core.MasterRecovery.Enabled,
 	}
 }
@@ -126,14 +110,8 @@ func Replay(ctx context.Context, s Schedule) (*Verdict, error) {
 	}
 	plan.Seed = s.PlanSeed
 	h := New(Options{Core: core.Options{
-		Scale:            s.Scale,
-		Slaves:           s.Slaves,
-		Seed:             s.Seed,
-		MapTaskTarget:    s.MapTaskTarget,
-		Racks:            s.Racks,
-		UplinkBPS:        s.UplinkBPS,
-		IntermediateTier: s.Tier,
-		MasterRecovery:   core.MasterRecovery{Enabled: s.MasterRecovery},
+		Testbed:        s.Testbed,
+		MasterRecovery: core.MasterRecovery{Enabled: s.MasterRecovery},
 	}})
 	g, err := h.goldenFor(ctx, w)
 	if err != nil {

@@ -67,47 +67,27 @@ func (f Factors) cacheKey(w Workload) string {
 	return fmt.Sprintf("%s/%s/m%d/c%v", w, f.Slots.Name, f.MemoryGB, f.Compress)
 }
 
-// Options configures the simulated testbed.
-type Options struct {
-	Scale          int64         // capacity divisor; default 1024
-	Slaves         int           // default 10, as in the paper
-	Seed           int64         // default 1
-	SampleInterval time.Duration // iostat interval; default 1 s of virtual time
+// Testbed is the simulated cluster's shape: the seven fields a run is only
+// reproducible with, shared by Options, chaos schedules and the runner CLIs.
+// Its JSON names are the on-disk format of checked-in chaos schedules.
+type Testbed struct {
+	Scale  int64 `json:"scale"`  // capacity divisor; default 1024
+	Slaves int   `json:"slaves"` // default 10, as in the paper
+	Seed   int64 `json:"seed"`   // default 1
+	// MapTaskTarget bounds the map-task count of the largest workload (see
+	// the package comment); default 512.
+	MapTaskTarget int64 `json:"map_task_target,omitempty"`
 	// Racks splits the slaves across this many top-of-rack switches joined
 	// by per-rack uplinks: slave i lands in rack i%Racks, the master in rack
 	// 0, HDFS placement turns rack-aware (one writer-local replica, the rest
 	// on one remote rack), and cross-rack transfers traverse both uplinks.
 	// The default 1 keeps the paper's flat non-blocking fabric and is
 	// byte-identical to builds without the topology layer.
-	Racks int
+	Racks int `json:"racks,omitempty"`
 	// UplinkBPS caps each rack uplink at this many bytes/second; 0 matches
 	// the node NIC rate (non-blocking). Values below the NIC rate
 	// oversubscribe the fabric. Meaningful only with Racks > 1.
-	UplinkBPS int64
-	// MapTaskTarget bounds the map-task count of the largest workload (see
-	// the package comment); default 512.
-	MapTaskTarget int64
-	// InputFraction further shrinks every workload's input relative to
-	// PaperInputBytes()/Scale (benchmarks use < 1 for speed); default 1.
-	InputFraction float64
-	// TraceAttach, when set, is called once per data disk before the run
-	// with a stable device name ("slave-03.mr1") — the hook point for
-	// internal/trace.Collector.Attach and other block-level observers.
-	TraceAttach func(dev string, d *disk.Disk)
-	// Histograms collects per-request await/svctm/size distributions for
-	// each monitored device group (RunReport.HDFS.Hists and MR.Hists) via
-	// the disk observer bus. Composes freely with TraceAttach observers;
-	// off, it costs nothing.
-	Histograms bool
-	// FaultSlowDisk, when > 1, injects a degraded drive: the first slave's
-	// first intermediate-data disk services every request this many times
-	// slower — the classic straggler fault, visible end-to-end in job
-	// runtime and in the per-disk %util/await distributions.
-	FaultSlowDisk float64
-	// SharedDataDisks pools HDFS and intermediate data on the same six
-	// spindles instead of the paper's dedicated 3+3 layout — the
-	// counterfactual behind the paper's observation 4 recommendation.
-	SharedDataDisks bool
+	UplinkBPS int64 `json:"uplink_bps,omitempty"`
 	// IntermediateTier selects the device class backing the
 	// intermediate-data (spill/merge/shuffle) volumes. The zero value
 	// (disk.ClassHDD) keeps the paper's all-mechanical testbed and is
@@ -116,7 +96,31 @@ type Options struct {
 	// mechanical — the tiering experiment the paper's small-random-write
 	// observation motivates. Tiered runs also monitor per-class disk
 	// groups (RunReport.Classes, "hdd"/"ssd").
-	IntermediateTier disk.Class
+	IntermediateTier disk.Class `json:"tier,omitempty"`
+}
+
+// Options configures the simulated testbed. Its JSON form (hooks excluded)
+// is the run's cache identity: every field that can change a run's outcome
+// must marshal.
+type Options struct {
+	Testbed
+	SampleInterval time.Duration // iostat interval; default 1 s of virtual time
+	// InputFraction further shrinks every workload's input relative to
+	// PaperInputBytes()/Scale (benchmarks use < 1 for speed); default 1.
+	InputFraction float64
+	// TraceAttach, when set, is called once per data disk before the run
+	// with a stable device name ("slave-03.mr1") — the hook point for
+	// internal/trace.Collector.Attach and other block-level observers.
+	TraceAttach func(dev string, d *disk.Disk) `json:"-"`
+	// Histograms collects per-request await/svctm/size distributions for
+	// each monitored device group (RunReport.HDFS.Hists and MR.Hists) via
+	// the disk observer bus. Composes freely with TraceAttach observers;
+	// off, it costs nothing.
+	Histograms bool
+	// SharedDataDisks pools HDFS and intermediate data on the same six
+	// spindles instead of the paper's dedicated 3+3 layout — the
+	// counterfactual behind the paper's observation 4 recommendation.
+	SharedDataDisks bool
 	// SSD overrides the flash drive provisioned for a tiered run; nil
 	// selects disk.DataCenterSSD(). The params must carry a non-nil SSD
 	// model (read/write latency and bandwidth asymmetry, channel count).
@@ -146,7 +150,7 @@ type Options struct {
 	// before the runtime is built — the hook chaos testing uses to weaken
 	// recovery budgets on purpose and prove the oracles catch it. Runs with
 	// it set bypass the persistent cache (the closure is not serializable).
-	TuneMapred func(*mapred.Config)
+	TuneMapred func(*mapred.Config) `json:"-"`
 	// Integrity switches on end-to-end HDFS checksumming: per-chunk CRC32C
 	// computed from the writer's bytes, verified on every streaming read,
 	// with corrupt replicas reported and read-repaired. Off by default — a
@@ -167,7 +171,7 @@ type Options struct {
 	// any fault recovery) completes, once monitoring has stopped — a hook for
 	// tests and tools to read back HDFS contents and block placement while
 	// the cluster still exists.
-	Inspect func(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster)
+	Inspect func(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) `json:"-"`
 }
 
 // MasterRecovery configures the journaled NameNode/JobTracker layers (see
@@ -446,9 +450,6 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 				opts.TraceAttach(d.P.Name, d)
 			}
 		}
-	}
-	if opts.FaultSlowDisk > 1 {
-		cl.Slaves[0].MRDisks[0].P.SlowFactor = opts.FaultSlowDisk
 	}
 
 	// Master recovery provisions the masters' metadata volumes; a plan with

@@ -4,17 +4,19 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"iochar/internal/faults"
 )
 
 // fastOpts is a deliberately small testbed so the full observation suite
 // stays in seconds. Shape assertions below are loose on purpose: they
 // encode the paper's qualitative findings, not point estimates.
-var fastOpts = Options{
+var fastOpts = Options{Testbed: Testbed{
 	Scale:         32768,
 	Slaves:        5,
 	MapTaskTarget: 48,
 	Seed:          1,
-}
+}}
 
 // sharedSuite caches cells across the tests in this package.
 var sharedSuite = NewSuite(fastOpts)
@@ -42,8 +44,8 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestSampleIntervalScalesWithScale(t *testing.T) {
-	small := Options{Scale: 64}.withDefaults().SampleInterval
-	big := Options{Scale: 8192}.withDefaults().SampleInterval
+	small := Options{Testbed: Testbed{Scale: 64}}.withDefaults().SampleInterval
+	big := Options{Testbed: Testbed{Scale: 8192}}.withDefaults().SampleInterval
 	if small != time.Second {
 		t.Errorf("scale-64 interval = %v, want 1s", small)
 	}
@@ -376,14 +378,18 @@ func TestTable3BottleneckClassification(t *testing.T) {
 	}
 }
 
-// Failure injection: a single degraded intermediate disk must slow the
-// whole TeraSort job (speculative map execution softens but cannot remove
+// Failure injection: a single degraded intermediate disk, slowed from the
+// first nanosecond (fault plans reject @0s), must slow the whole TeraSort job (speculative map execution softens but cannot remove
 // the hit — the straggler disk also serves shuffle reads) and inflate the
 // iostat await signature an operator would diagnose with.
 func TestFaultSlowDiskVisibleEndToEnd(t *testing.T) {
 	healthy := mustRun(t, TS, SlotsRuns[0])
+	plan, err := faults.ParsePlan("slow-disk@1ns:node=slave-00,disk=mr0,factor=8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := fastOpts
-	opts.FaultSlowDisk = 8
+	opts.Faults = plan
 	degraded, err := RunOne(TS, SlotsRuns[0], opts)
 	if err != nil {
 		t.Fatal(err)

@@ -8,13 +8,13 @@ import (
 
 // rackOpts is the two-rack testbed the network-fault tests run on — the
 // same shape as the checked-in chaos regression schedules.
-var rackOpts = Options{
+var rackOpts = Options{Testbed: Testbed{
 	Scale:         262144,
 	Slaves:        5,
 	MapTaskTarget: 8,
 	Seed:          1,
 	Racks:         2,
-}
+}}
 
 // TestSlowLinkShuffleRetriesWithoutBlacklist: a degraded uplink plus a
 // lossy NIC during the shuffle must surface as net-fetch stalls that are

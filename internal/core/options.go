@@ -25,8 +25,9 @@ import (
 //	    core.WithAudit(),
 //	)
 //
-// The Options struct remains usable directly as a thin compatibility layer
-// for one release; new knobs land here first.
+// The Options struct stays usable directly too: it is the plain value the
+// run cache hashes, and tables of configurations (tests, bench.Config) read
+// better as literals. Both forms stay.
 type Option func(*Options)
 
 // NewOptions builds an Options value from functional options. Zero fields
@@ -110,12 +111,6 @@ func WithFaults(plan faults.Plan) Option { return func(o *Options) { o.Faults = 
 
 // WithRecovery tunes HDFS failure detection and repair for fault runs.
 func WithRecovery(cfg hdfs.RecoveryConfig) Option { return func(o *Options) { o.Recovery = cfg } }
-
-// WithFaultSlowDisk degrades the first slave's first intermediate-data disk
-// by the given service-time multiplier (> 1) — the classic straggler fault.
-func WithFaultSlowDisk(factor float64) Option {
-	return func(o *Options) { o.FaultSlowDisk = factor }
-}
 
 // WithSharedDataDisks pools HDFS and intermediate data on the same spindles
 // instead of the paper's dedicated 3+3 layout.

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"iochar/internal/disk"
-	"iochar/internal/hdfs"
 	"iochar/internal/runcache"
 )
 
@@ -244,69 +242,18 @@ func cacheable(opts Options) bool {
 	return opts.TraceAttach == nil && opts.Inspect == nil && opts.TuneMapred == nil
 }
 
-// runKeyMaterial is everything that determines a cell's outcome. It is
-// hashed (as canonical JSON) into the cell's content address, so any
-// configuration drift — testbed scale, seeds, fault plans, recovery knobs,
-// result schema — lands in a different cache slot instead of colliding.
-type runKeyMaterial struct {
-	Schema          int
-	Workload        string
-	Slots           SlotsConfig
-	MemoryGB        int
-	Compress        bool
-	Scale           int64
-	Slaves          int
-	Racks           int
-	UplinkBPS       int64
-	Seed            int64
-	SampleInterval  int64 // nanoseconds
-	MapTaskTarget   int64
-	InputFraction   float64
-	FaultSlowDisk   float64
-	SharedDataDisks bool
-	Histograms      bool
-	Faults          string // Plan.String(): the canonical plan syntax
-	FaultSeed       int64
-	Recovery        hdfs.RecoveryConfig
-	MasterRecovery  MasterRecovery
-	Audit           bool
-	Integrity       bool
-	ScrubRate       int64
-	// Storage-tier configuration: the tier class and the full device params
-	// of any SSD override. Tiered and untiered runs of the same cell have
-	// different outcomes, so both must land in distinct cache slots.
-	IntermediateTier string
-	SSD              *disk.Params
-}
-
-func keyMaterial(w Workload, f Factors, opts Options) runKeyMaterial {
-	return runKeyMaterial{
-		Schema:           SchemaVersion,
-		Workload:         w.String(),
-		Slots:            f.Slots,
-		MemoryGB:         f.MemoryGB,
-		Compress:         f.Compress,
-		Scale:            opts.Scale,
-		Slaves:           opts.Slaves,
-		Racks:            opts.Racks,
-		UplinkBPS:        opts.UplinkBPS,
-		Seed:             opts.Seed,
-		SampleInterval:   int64(opts.SampleInterval),
-		MapTaskTarget:    opts.MapTaskTarget,
-		InputFraction:    opts.InputFraction,
-		FaultSlowDisk:    opts.FaultSlowDisk,
-		SharedDataDisks:  opts.SharedDataDisks,
-		Histograms:       opts.Histograms,
-		Faults:           opts.Faults.String(),
-		FaultSeed:        opts.Faults.Seed,
-		Recovery:         opts.Recovery,
-		MasterRecovery:   opts.MasterRecovery,
-		Audit:            opts.Audit,
-		Integrity:        opts.Integrity,
-		ScrubRate:        opts.ScrubRate,
-		IntermediateTier: opts.IntermediateTier.String(),
-		SSD:              opts.SSD,
-	}
+// keyMaterial is everything that determines a cell's outcome. It is hashed
+// (as canonical JSON) into the cell's content address, so any configuration
+// drift — testbed shape, seeds, fault plans, recovery knobs, result schema —
+// lands in a different cache slot instead of colliding. opts must already be
+// defaulted, so equivalent configurations share a slot.
+func keyMaterial(w Workload, f Factors, opts Options) any {
+	return struct {
+		Schema   int
+		Workload string
+		Factors  Factors
+		Options  Options
+	}{SchemaVersion, w.String(), f, opts}
 }
 
 // emit fires the progress callback (if any) and advances the done counter.

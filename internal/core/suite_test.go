@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,7 @@ import (
 
 // tinyOpts is the smallest testbed that still exercises the full pipeline —
 // executor tests below run many cells and care about scheduling, not shape.
-var tinyOpts = Options{Scale: 262144, Slaves: 3, MapTaskTarget: 8}
+var tinyOpts = Options{Testbed: Testbed{Scale: 262144, Slaves: 3, MapTaskTarget: 8}}
 
 // reportJSON canonicalizes a report for equality checks: byte-identical
 // JSON means byte-identical figures, since rendering reads only these
@@ -412,54 +413,29 @@ func TestFaultedRestartNeverAliasesCleanCache(t *testing.T) {
 }
 
 // TestCacheKeySeparatesConfigurations: any change to the run configuration
-// must land in a different slot.
+// must land in a different slot. Every exported non-hook field of Options is
+// perturbed in turn (recursing into Testbed, Recovery, MasterRecovery and the
+// fault plan), so a knob added later cannot silently share a key.
 func TestCacheKeySeparatesConfigurations(t *testing.T) {
 	base := NewSuite(tinyOpts).Opts
 	baseKey, err := runcache.Key(keyMaterial(TS, SlotsRuns[0], base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := map[string]Options{}
 	o := base
-	o.Seed = 2
-	variants["seed"] = o
-	o = base
-	o.Scale = base.Scale * 2
-	variants["scale"] = o
-	o = base
-	o.InputFraction = 0.5
-	variants["input-fraction"] = o
-	o = base
-	o.SharedDataDisks = true
-	variants["shared-disks"] = o
-	o = base
-	o.FaultSlowDisk = 4
-	variants["slow-disk"] = o
-	o = base
-	if o.Faults, err = faults.ParsePlan(killPlan); err != nil {
-		t.Fatal(err)
-	}
-	variants["fault-plan"] = o
-	o = base
-	o.Faults.Seed = base.Faults.Seed + 1
-	variants["fault-seed"] = o
-	o = base
-	o.Audit = true
-	variants["audit"] = o
-	o = base
-	o.Integrity = true
-	variants["integrity"] = o
-	o = base
-	o.ScrubRate = 4 << 20
-	variants["scrub-rate"] = o
-	for name, opts := range variants {
-		k, err := runcache.Key(keyMaterial(TS, SlotsRuns[0], opts))
+	checked := 0
+	perturbFields(t, reflect.ValueOf(&o).Elem(), "", func(name string) {
+		checked++
+		k, err := runcache.Key(keyMaterial(TS, SlotsRuns[0], o))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if k == baseKey {
 			t.Errorf("%s change did not change the cache key", name)
 		}
+	})
+	if checked < 20 {
+		t.Errorf("perturbed only %d fields; the walk missed part of Options", checked)
 	}
 	// Different workload and factors also separate.
 	if k, _ := runcache.Key(keyMaterial(AGG, SlotsRuns[0], base)); k == baseKey {
@@ -467,6 +443,46 @@ func TestCacheKeySeparatesConfigurations(t *testing.T) {
 	}
 	if k, _ := runcache.Key(keyMaterial(TS, SlotsRuns[1], base)); k == baseKey {
 		t.Error("factors not in the key")
+	}
+}
+
+// perturbFields changes each exported leaf field under v in turn, calls fn
+// with the field's path, and restores it. Function fields are the run hooks,
+// which bypass the cache instead of keying it, so they are skipped.
+func perturbFields(t *testing.T, v reflect.Value, path string, fn func(name string)) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		sf, f := v.Type().Field(i), v.Field(i)
+		name := path + sf.Name
+		if !sf.IsExported() || f.Kind() == reflect.Func {
+			continue
+		}
+		if f.Kind() == reflect.Struct {
+			perturbFields(t, f, name+".", fn)
+			continue
+		}
+		old := reflect.New(f.Type()).Elem()
+		old.Set(f)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Float32, reflect.Float64:
+			f.SetFloat(f.Float() + 1)
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Slice:
+			f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("%s: no perturbation for kind %s", name, f.Kind())
+		}
+		fn(name)
+		f.Set(old)
 	}
 }
 

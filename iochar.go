@@ -8,7 +8,7 @@
 //
 // The one-call entry points:
 //
-//	suite := iochar.NewSuite(iochar.Options{Scale: 4096},
+//	suite := iochar.NewSuite(iochar.NewOptions(iochar.WithScale(4096)),
 //	    iochar.WithParallelism(4),          // fan cells out across 4 workers
 //	    iochar.WithCacheDir(".iochar-cache")) // persist results across runs
 //	iochar.RenderFigure(os.Stdout, suite, 1)    // Figure 1 of the paper
@@ -43,10 +43,16 @@ import (
 
 // Options configures the simulated testbed; the zero value gives the
 // defaults documented on core.Options (scale 1/1024, 10 slaves, 1 s-scaled
-// iostat interval). Prefer building it with NewOptions and the With*
-// functional options; the struct form remains as a thin compatibility
-// layer for one release.
+// iostat interval). Both forms are supported on purpose: NewOptions and the
+// With* functional options read best where a caller sets a few knobs, while
+// the struct is the plain value the run cache hashes and that tables of
+// configurations fill field by field (the cluster shape in its embedded
+// Testbed).
 type Options = core.Options
+
+// Testbed is the cluster shape embedded in Options: scale, slaves, seed,
+// map-task target, racks, uplink and intermediate tier.
+type Testbed = core.Testbed
 
 // Option configures the testbed one knob at a time; see NewOptions.
 type Option = core.Option
@@ -76,7 +82,6 @@ var (
 	WithFaults          = core.WithFaults          // deterministic fault plan
 	WithRecovery        = core.WithRecovery        // HDFS failure detection/repair tuning
 	WithMasterRecovery  = core.WithMasterRecovery  // journaled NameNode/JobTracker state + restart recovery
-	WithFaultSlowDisk   = core.WithFaultSlowDisk   // one-knob straggler disk
 	WithSharedDataDisks = core.WithSharedDataDisks // pooled instead of dedicated spindles
 	WithTraceAttach     = core.WithTraceAttach     // per-disk observer hook
 	WithTuneMapred      = core.WithTuneMapred      // MapReduce config hook

@@ -8,7 +8,7 @@ import (
 
 // facadeOpts keeps facade tests fast; the heavyweight shape assertions live
 // in internal/core's tests.
-var facadeOpts = Options{Scale: 65536, Slaves: 4, MapTaskTarget: 24}
+var facadeOpts = Options{Testbed: Testbed{Scale: 65536, Slaves: 4, MapTaskTarget: 24}}
 
 func TestRunFacade(t *testing.T) {
 	rep, err := Run(AGG, Factors{Slots: Slots1x8, MemoryGB: 32}, facadeOpts)
